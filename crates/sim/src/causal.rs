@@ -158,10 +158,112 @@ pub struct CausalRecord {
     pub info: u64,
 }
 
+/// Trace ids whose node field is below this are indexed densely.
+const DENSE_NODES: u64 = 1 << 16;
+/// Trace ids whose counter field is below this are indexed densely.
+const DENSE_COUNTERS: u64 = 1 << 20;
+/// Empty slot of a dense lane.
+const NO_RECORD: u32 = u32::MAX;
+
+/// Latest record index per trace id.
+///
+/// `Node::fresh_tag` mints `node << 40 | counter`, with bit 63 set for
+/// a message's sender-side completion chain. Ids of that shape (node
+/// below [`DENSE_NODES`], counter below [`DENSE_COUNTERS`]) live in one
+/// lane per node, at slot `2 * counter + bit63`; a node's lane grows with
+/// the highest counter it has seen. Any other id falls back to an
+/// ordered map. Which store an id uses is a pure function of the id.
+#[derive(Debug, Default)]
+struct LastById {
+    lanes: Vec<Vec<u32>>,
+    spill: BTreeMap<u64, u32>,
+}
+
+impl LastById {
+    /// `(node lane, slot)` of a densely indexed id.
+    #[inline]
+    fn slot(id: u64) -> Option<(usize, usize)> {
+        let node = (id >> 40) & ((1 << 23) - 1);
+        let counter = id & ((1 << 40) - 1);
+        (node < DENSE_NODES && counter < DENSE_COUNTERS)
+            .then(|| (node as usize, (2 * counter + (id >> 63)) as usize))
+    }
+
+    #[inline]
+    fn get(&self, id: u64) -> Option<u32> {
+        match Self::slot(id) {
+            Some((node, slot)) => self
+                .lanes
+                .get(node)
+                .and_then(|lane| lane.get(slot))
+                .copied()
+                .filter(|&idx| idx != NO_RECORD),
+            None => self.spill.get(&id).copied(),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, id: u64, idx: u32) {
+        let Some((node, slot)) = Self::slot(id) else {
+            self.spill.insert(id, idx);
+            return;
+        };
+        if node >= self.lanes.len() {
+            self.lanes.resize_with(node + 1, Vec::new);
+        }
+        let lane = &mut self.lanes[node];
+        if slot >= lane.len() {
+            lane.resize(slot + 1, NO_RECORD);
+        }
+        lane[slot] = idx;
+    }
+}
+
+/// Pending EQ posts per `(node, pid)`: one short `(pid, fifo)` list per
+/// node below [`DENSE_NODES`], an ordered map for any other node.
+#[derive(Debug, Default)]
+struct EqFifos {
+    nodes: Vec<Vec<(u32, VecDeque<u32>)>>,
+    spill: BTreeMap<(u32, u32), VecDeque<u32>>,
+}
+
+impl EqFifos {
+    fn fifo_mut(&mut self, node: u32, pid: u32) -> &mut VecDeque<u32> {
+        if u64::from(node) >= DENSE_NODES {
+            return self.spill.entry((node, pid)).or_default();
+        }
+        let node = node as usize;
+        if node >= self.nodes.len() {
+            self.nodes.resize_with(node + 1, Vec::new);
+        }
+        let pids = &mut self.nodes[node];
+        let pos = match pids.iter().position(|(p, _)| *p == pid) {
+            Some(pos) => pos,
+            None => {
+                pids.push((pid, VecDeque::new()));
+                pids.len() - 1
+            }
+        };
+        &mut pids[pos].1
+    }
+
+    fn pop(&mut self, node: u32, pid: u32) -> Option<u32> {
+        if u64::from(node) >= DENSE_NODES {
+            return self.spill.get_mut(&(node, pid))?.pop_front();
+        }
+        self.nodes
+            .get_mut(node as usize)?
+            .iter_mut()
+            .find(|(p, _)| *p == pid)?
+            .1
+            .pop_front()
+    }
+}
+
 /// Bounded, deterministic causal record log.
 ///
 /// Disabled, every record call is one predictable branch. Enabled, the
-/// log appends records, maintains the per-message "latest record" map
+/// log appends records, maintains the per-message "latest record" index
 /// that turns independent handler callbacks into parent→child chains,
 /// and tracks the FIFO of pending EQ posts per `(node, pid)` so an
 /// `AppDeliver` can name the completion that produced the event it
@@ -175,9 +277,9 @@ pub struct CausalLog {
     digest: EventDigest,
     /// Latest record index per live trace id (chains stages recorded by
     /// different handlers).
-    last_by_id: BTreeMap<u64, u32>,
+    last_by_id: LastById,
     /// Pending EQ posts per (node, pid): record indices in post order.
-    eq_fifo: BTreeMap<(u32, u32), VecDeque<u32>>,
+    eq_fifo: EqFifos,
     /// The record causally responsible for work done in the current
     /// handler activation (an `AppDeliver`, or a serve-side `MatchDone`).
     cause: Option<u32>,
@@ -198,8 +300,8 @@ impl CausalLog {
             records: Vec::new(),
             dropped: 0,
             digest: EventDigest::new(),
-            last_by_id: BTreeMap::new(),
-            eq_fifo: BTreeMap::new(),
+            last_by_id: LastById::default(),
+            eq_fifo: EqFifos::default(),
             cause: None,
         }
     }
@@ -291,7 +393,7 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        let parent = self.last_by_id.get(&id.0).copied();
+        let parent = self.last_by_id.get(id.0);
         self.record_slow(id, stage, at, node, parent, info)
     }
 
@@ -327,7 +429,7 @@ impl CausalLog {
             info,
         });
         if id.is_some() && stage != CausalStage::AppDeliver {
-            self.last_by_id.insert(id.0, idx);
+            self.last_by_id.set(id.0, idx);
         }
         Some(idx)
     }
@@ -338,7 +440,7 @@ impl CausalLog {
         if !self.enabled || count == 0 {
             return;
         }
-        let fifo = self.eq_fifo.entry((node, pid)).or_default();
+        let fifo = self.eq_fifo.fifo_mut(node, pid);
         for _ in 0..count {
             fifo.push_back(idx);
         }
@@ -350,9 +452,7 @@ impl CausalLog {
         if !self.enabled {
             return None;
         }
-        self.eq_fifo
-            .get_mut(&(node, pid))
-            .and_then(VecDeque::pop_front)
+        self.eq_fifo.pop(node, pid)
     }
 
     /// Convenience: record the `AppDeliver` for a consumed event and make

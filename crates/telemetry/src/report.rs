@@ -91,6 +91,11 @@ pub struct TelemetryReport {
     pub elapsed: SimTime,
     /// Per-node accounting.
     pub nodes: Vec<NodeReport>,
+    /// Occupancy spans recorded past the telemetry span cap and not
+    /// stored: the Perfetto timeline is missing them.
+    pub dropped_spans: u64,
+    /// Causal records made past the causal log's cap and not stored.
+    pub dropped_causal_records: u64,
 }
 
 impl TelemetryReport {
@@ -193,6 +198,13 @@ impl TelemetryReport {
             self.rx_interrupts_per_full_message(),
             self.rx_interrupts_per_piggybacked_message()
         );
+        if self.dropped_spans > 0 || self.dropped_causal_records > 0 {
+            let _ = writeln!(
+                out,
+                "TRUNCATED: {} spans and {} causal records dropped past their caps",
+                self.dropped_spans, self.dropped_causal_records
+            );
+        }
         let _ = writeln!(
             out,
             "{:>5} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>8}",
@@ -266,6 +278,16 @@ impl TelemetryReport {
             "  \"host_us_per_message\": {:?},",
             self.host_us_per_message()
         );
+        // Truncation is reported only when it happened, so reports of
+        // complete runs keep their bytes.
+        for (key, n) in [
+            ("dropped_spans", self.dropped_spans),
+            ("dropped_causal_records", self.dropped_causal_records),
+        ] {
+            if n > 0 {
+                let _ = writeln!(out, "  \"{key}\": {n},");
+            }
+        }
         out.push_str("  \"nodes\": [");
         for (i, n) in self.nodes.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -376,10 +398,14 @@ impl TelemetryReport {
                 links,
             });
         }
+        // Absent means nothing was dropped (see `to_json`).
+        let count = |key: &str| v.get(key).map_or(Ok(0), JsonValue::as_u64);
         Ok(TelemetryReport {
             label,
             elapsed,
             nodes,
+            dropped_spans: count("dropped_spans")?,
+            dropped_causal_records: count("dropped_causal_records")?,
         })
     }
 }
@@ -435,6 +461,7 @@ mod tests {
                     ..NodeReport::default()
                 },
             ],
+            ..TelemetryReport::default()
         }
     }
 
@@ -467,6 +494,26 @@ mod tests {
         assert!(txt.contains("rx interrupts/message: 2.000"));
         assert!(txt.contains("link X+"));
         assert!(txt.contains("host us/message"));
+    }
+
+    #[test]
+    fn truncation_is_reported_only_when_it_happened() {
+        let complete = sample();
+        assert!(!complete.to_json().contains("dropped"));
+        assert!(!complete.render_table().contains("TRUNCATED"));
+        let truncated = TelemetryReport {
+            dropped_spans: 7,
+            dropped_causal_records: 3,
+            ..sample()
+        };
+        let json = truncated.to_json();
+        assert!(json.contains("\"dropped_spans\": 7,"));
+        let back = TelemetryReport::from_json(&json).expect("round-trips");
+        assert_eq!(back.dropped_spans, 7);
+        assert_eq!(back.dropped_causal_records, 3);
+        assert!(truncated
+            .render_table()
+            .contains("TRUNCATED: 7 spans and 3 causal records"));
     }
 
     #[test]

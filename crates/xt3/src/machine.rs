@@ -538,7 +538,9 @@ impl Machine {
     /// interrupts-per-message metric, mailbox and SRAM-pool high-water
     /// marks, Portals EQ depth peaks, and per-hop link accounting. A pure
     /// read of hardware-model counters — available whether or not the
-    /// span-recording sink was enabled.
+    /// span-recording sink was enabled. Spans and causal records dropped
+    /// past their caps are counted in it, so a truncated timeline is
+    /// never silent.
     pub fn telemetry_report(&self, label: &str, elapsed: SimTime) -> TelemetryReport {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
@@ -606,6 +608,8 @@ impl Machine {
             label: label.to_string(),
             elapsed,
             nodes,
+            dropped_spans: self.telemetry.dropped_spans(),
+            dropped_causal_records: self.causal.dropped(),
         }
     }
 

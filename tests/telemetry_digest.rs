@@ -8,6 +8,8 @@
 //!    exactly one receive interrupt; larger ones pay exactly two.
 //! 3. **Perfetto export**: the emitted trace is valid JSON with the
 //!    trace-event fields Perfetto requires.
+//! 4. **No silent truncation**: spans and causal records dropped past
+//!    their caps are counted in the report and the Perfetto metadata.
 
 use xt3_netpipe::runner::{build_engine, run_instrumented, NetpipeConfig, TestKind, Transport};
 use xt3_netpipe::Schedule;
@@ -139,4 +141,45 @@ fn telemetry_report_json_roundtrips() {
         assert_eq!(a.rx_piggybacked, b.rx_piggybacked);
         assert_eq!(a.links.len(), b.links.len());
     }
+}
+
+#[test]
+fn truncated_recordings_are_reported() {
+    let config = fixed_config(64, 4);
+    let mut engine = build_engine(&config, Transport::Put, TestKind::PingPong);
+    let m = engine.model_mut();
+    *m.telemetry_mut() = xt3_telemetry::Telemetry::with_span_cap(2);
+    *m.causal_mut() = xt3_sim::CausalLog::with_cap(3);
+    assert_eq!(engine.run(), RunOutcome::Drained);
+    let elapsed = engine.now();
+    let m = engine.into_model();
+    let dropped_spans = m.telemetry().dropped_spans();
+    let dropped_causal = m.causal().dropped();
+    assert!(
+        dropped_spans > 0 && dropped_causal > 0,
+        "the caps must bite"
+    );
+
+    let report = m.telemetry_report("capped", elapsed);
+    assert_eq!(report.dropped_spans, dropped_spans);
+    assert_eq!(report.dropped_causal_records, dropped_causal);
+    assert!(report
+        .to_json()
+        .contains(&format!("\"dropped_spans\": {dropped_spans},")));
+    assert!(report.render_table().contains("TRUNCATED"));
+
+    let trace = parse_json(&m.telemetry().perfetto_json_with_causal(m.causal()))
+        .expect("perfetto output must be valid JSON");
+    let other = trace.get("otherData").expect("truncation metadata");
+    assert_eq!(
+        other.get("dropped_spans").and_then(|v| v.as_u64()).unwrap(),
+        dropped_spans
+    );
+    assert_eq!(
+        other
+            .get("dropped_causal_records")
+            .and_then(|v| v.as_u64())
+            .unwrap(),
+        dropped_causal
+    );
 }
