@@ -380,6 +380,15 @@ impl CausalLog {
         self.record_slow(id, stage, at, node, parent, info)
     }
 
+    /// The message's latest stored record: the parent the next
+    /// [`Self::record_chain`] for `id` would get.
+    pub fn latest(&self, id: TraceId) -> Option<u32> {
+        if !self.enabled {
+            return None;
+        }
+        self.last_by_id.get(id.0)
+    }
+
     /// Append a record chained onto the message's previous stage.
     #[inline]
     pub fn record_chain(
