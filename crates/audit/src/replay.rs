@@ -16,7 +16,9 @@
 use std::any::Any;
 use std::fmt;
 
-use xt3_netpipe::runner::{build_machine, scenario_matrix, scenario_name, NetpipeConfig};
+use xt3_netpipe::runner::{
+    build_machine, scenario_matrix, scenario_name, NetpipeConfig, TestKind, Transport,
+};
 use xt3_node::config::{ExhaustionPolicy, MachineConfig, NodeSpec};
 use xt3_node::{App, AppCtx, AppEvent, Machine};
 use xt3_portals::event::EventKind;
@@ -234,6 +236,26 @@ pub fn netpipe_scenarios(max_size: u64) -> Vec<Scenario> {
         .collect()
 }
 
+/// NetPIPE ping-pongs (put, get, MPICH2) in accelerated mode, where
+/// matching and completion run on the NIC instead of the host. The
+/// matrix above runs generic mode only; these put the NIC placement
+/// under the lockstep replay and the serial-vs-parallel check too.
+pub fn accel_scenarios(max_size: u64) -> Vec<Scenario> {
+    [Transport::Put, Transport::Get, Transport::Mpich2]
+        .into_iter()
+        .map(|t| Scenario {
+            name: format!("{}/accel", scenario_name(t, TestKind::PingPong)),
+            build: Box::new(move || {
+                let config = NetpipeConfig {
+                    accelerated: true,
+                    ..NetpipeConfig::quick(max_size)
+                };
+                build_machine(&config, t, TestKind::PingPong)
+            }),
+        })
+        .collect()
+}
+
 /// The tier-1 end-to-end configurations, replayed: go-back-N recovery
 /// under RX pool exhaustion, CRC errors on every link, and many-to-one
 /// fan-in through source lists.
@@ -364,11 +386,12 @@ pub fn traffic_scenarios() -> Vec<Scenario> {
 }
 
 /// Every scenario the `audit replay` command and the tier-1 replay test
-/// run: NetPIPE sweeps capped at 4 KiB, the e2e configurations, the
-/// fault-injected replay, the RMA workloads, and the congestion traffic
-/// patterns.
+/// run: NetPIPE sweeps capped at 4 KiB (generic mode, plus accelerated
+/// ping-pongs), the e2e configurations, the fault-injected replay, the
+/// RMA workloads, and the congestion traffic patterns.
 pub fn all_scenarios() -> Vec<Scenario> {
     let mut out = netpipe_scenarios(4096);
+    out.extend(accel_scenarios(4096));
     out.extend(e2e_scenarios());
     out.push(fault_scenario());
     out.extend(rma_scenarios());

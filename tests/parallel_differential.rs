@@ -5,7 +5,8 @@
 //! model state fingerprint (trace digest + fault decisions + per-node
 //! health counters) and the same telemetry-report JSON as the serial
 //! engine. This suite enforces that over every NetPIPE scenario in
-//! `scenario_matrix()` plus the Red Storm nearest-neighbor workload, at
+//! `scenario_matrix()`, the accelerated-mode ping-pongs, the RMA
+//! workloads, and the Red Storm nearest-neighbor workload, at
 //! worker counts {1, 2, 3, 8} (clamped to the node count — the NetPIPE
 //! pairs degenerate to 2 shards, which still exercises the full
 //! deferred-send window protocol; Red Storm exercises real fan-out).
@@ -92,6 +93,24 @@ fn netpipe_scenarios_bit_identical_under_parallelism() {
     for (transport, kind) in scenario_matrix() {
         let label = scenario_name(transport, kind);
         assert_parallel_matches(|| build_machine(&config, transport, kind), &label);
+    }
+}
+
+/// Accelerated-mode ping-pongs (put, get, MPICH2): matching and
+/// completion on the NIC, serial vs parallel.
+#[test]
+fn accelerated_scenarios_bit_identical_under_parallelism() {
+    use xt3_netpipe::runner::{TestKind, Transport};
+    let config = NetpipeConfig {
+        accelerated: true,
+        ..NetpipeConfig::quick(4096).with_telemetry()
+    };
+    for transport in [Transport::Put, Transport::Get, Transport::Mpich2] {
+        let label = format!("{}/accel", scenario_name(transport, TestKind::PingPong));
+        assert_parallel_matches(
+            || build_machine(&config, transport, TestKind::PingPong),
+            &label,
+        );
     }
 }
 
